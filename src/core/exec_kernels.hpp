@@ -16,6 +16,25 @@
 // matter which order a scan visits pixels: serial, tile-parallel, sharded and
 // batched runs of the same query return byte-identical results.
 //
+// The full-model kernel (scan_rect_full) scores a row at a time through
+// RasterModel::evaluate_row into a caller-owned score buffer, so the hot loop
+// pays no per-pixel gather, virtual call or meter update.  Charge rule:
+// an unbounded QueryContext is charged once per rectangle (it cannot trip,
+// so only the spent() total matters, and that is unchanged); a bounded one
+// (budget, deadline or cancel flag) is charged per pixel, so trip points and
+// certified prefixes are exact.  Per-pixel charging of an unbounded context
+// was the tile-parallel collapse: one shared fetch_add per pixel on the
+// context's cache line (which stopped() reads too) made 4 workers slower
+// than 1.  The per-worker state that holds a kernel's accumulators
+// (WorkerState, ShardRun) is padded to a cache line for the same reason —
+// measurements in DESIGN.md §6b.  Charging per rectangle rather
+// than per row matters too: a tile row is only tile_size pixels.
+//
+// Bit identity: evaluate_row must produce exactly the per-pixel evaluate()
+// score (same per-pixel summation order; the build enables no FMA
+// contraction or fast-math), so every executor, and the batch executor that
+// still scores per pixel, agrees byte for byte.
+//
 // The staged kernel takes its abandoning threshold through a callable so the
 // serial executor can pass the local heap threshold and the parallel one can
 // splice in the shared cross-worker threshold (a stale value only weakens
@@ -102,36 +121,62 @@ inline double staged_pixel(const TiledArchive& archive, const ProgressiveLinearM
   return partial;
 }
 
-/// Full-model evaluation of one pixel.
-inline double full_pixel(const TiledArchive& archive, const RasterModel& model, std::size_t x,
-                         std::size_t y, std::vector<double>& scratch, CostMeter& meter) {
-  archive.read_pixel(x, y, scratch, meter);
-  meter.add_ops(model.ops_per_evaluation());
-  return model.evaluate(scratch);
-}
-
 /// Scans the rectangle [x0,x1)×[y0,y1) with the full model, offering every
 /// finite score into `top` and counting visited pixels / non-finite
-/// evaluations into `tally` (bad points also go to the context).  Stops
+/// evaluations into `tally` (bad points also go to the context).  `scores`
+/// is the caller's per-worker row buffer, reused across calls.  Stops
 /// early — possibly mid-row — once the context stops; callers check
 /// ctx.stopped() to distinguish.
+///
+/// Each row is scored in one RasterModel::evaluate_row call, then walked in
+/// column order.  Charging follows the context:
+///   * unbounded — charge() can never fail, so the whole rectangle is
+///     charged up front in one call (the batch executor's bulk_charged rule;
+///     spent() totals are unchanged);
+///   * bounded (budget, deadline or cancel flag) — one charge per pixel,
+///     and a pixel is consumed only if its charge succeeds, so trip points
+///     are exact.
+/// Non-finite scores are counted before the threshold filter (a -inf that
+/// arrives after the heap is full is still a bad point); scores strictly
+/// below the heap threshold skip offer_ranked (ties still reach it, to
+/// contest on rank).  Meters are billed once per row with the per-pixel
+/// totals: band_count points and band reads, ops_per_evaluation ops.
 inline void scan_rect_full(const TiledArchive& archive, const RasterModel& model, std::size_t x0,
                            std::size_t x1, std::size_t y0, std::size_t y1, TopK<RasterHit>& top,
-                           std::vector<double>& scratch, QueryContext& ctx, CostMeter& meter,
+                           std::vector<double>& scores, QueryContext& ctx, CostMeter& meter,
                            ScanTally& tally) {
+  const std::size_t width = x1 - x0;
   const std::uint64_t ops_per_pixel = model.ops_per_evaluation();
+  const std::uint64_t bands = archive.band_count();
+  const bool bulk = ctx.unbounded();
+  if (bulk) (void)ctx.charge(static_cast<std::uint64_t>(width) * (y1 - y0) * ops_per_pixel);
+  scores.resize(width);
   for (std::size_t y = y0; y < y1 && !ctx.stopped(); ++y) {
-    for (std::size_t x = x0; x < x1; ++x) {
-      if (!ctx.charge(ops_per_pixel)) break;
-      ++tally.pixels;
-      const double score = full_pixel(archive, model, x, y, scratch, meter);
+    model.evaluate_row(archive, x0, y, scores);
+    const std::uint64_t rank0 = pixel_rank(archive, x0, y);
+    std::size_t consumed = width;
+    std::uint64_t bad = 0;
+    for (std::size_t i = 0; i < width; ++i) {
+      if (!bulk && !ctx.charge(ops_per_pixel)) {
+        consumed = i;
+        break;
+      }
+      const double score = scores[i];
       if (!std::isfinite(score)) {
-        ctx.note_bad_points();
-        ++tally.bad_points;
+        ++bad;
         continue;
       }
-      top.offer_ranked(score, pixel_rank(archive, x, y), RasterHit{x, y, score});
+      if (score < top.threshold()) continue;
+      top.offer_ranked(score, rank0 + i, RasterHit{x0 + i, y, score});
     }
+    if (bad > 0) {
+      ctx.note_bad_points(bad);
+      tally.bad_points += bad;
+    }
+    tally.pixels += consumed;
+    meter.add_points(consumed * bands);
+    meter.add_bytes(consumed * bands * sizeof(double));
+    meter.add_ops(consumed * ops_per_pixel);
   }
 }
 

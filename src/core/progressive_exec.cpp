@@ -54,10 +54,10 @@ RasterTopK full_scan_top_k(const TiledArchive& archive, const RasterModel& model
   obs::Span span = obs::Span::child_of(ctx.span(), "full_scan");
   RasterTopK out;
   TopK<RasterHit> top(k);
-  std::vector<double> pixel(archive.band_count());
+  std::vector<double> scores;
   const std::uint64_t ops_before = meter.ops();
   exec::ScanTally tally;
-  exec::scan_rect_full(archive, model, 0, archive.width(), 0, archive.height(), top, pixel, ctx,
+  exec::scan_rect_full(archive, model, 0, archive.width(), 0, archive.height(), top, scores, ctx,
                        meter, tally);
   out.bad_points = tally.bad_points;
   out.hits = exec::finalize(top);
@@ -129,7 +129,7 @@ RasterTopK tile_screened_top_k(const TiledArchive& archive, const RasterModel& m
   const std::uint64_t ops_per_pixel = model.ops_per_evaluation();
 
   TopK<RasterHit> top(k);
-  std::vector<double> pixel(archive.band_count());
+  std::vector<double> scores;
   double truncation_bound = kNegInf;
   std::size_t tiles_scanned = 0;
   exec::ScanTally tally;
@@ -162,7 +162,7 @@ RasterTopK tile_screened_top_k(const TiledArchive& archive, const RasterModel& m
     }
     ++tiles_scanned;
     exec::scan_rect_full(archive, model, tile.x0, tile.x0 + tile.width, tile.y0,
-                         tile.y0 + tile.height, top, pixel, ctx, meter, tally);
+                         tile.y0 + tile.height, top, scores, ctx, meter, tally);
     if (ctx.stopped()) {
       // Tiles run best-bound-first, so the current tile's bound dominates
       // everything unexamined (its own remainder and all later tiles).

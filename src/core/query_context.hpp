@@ -32,6 +32,15 @@
 //     control flow; result data produced by workers is published by the
 //     thread pool's join, never through the context.
 //
+// Charge granularity: the shared spent counter is one cache line that every
+// worker writes and stopped() reads, so executors must not charge it per
+// pixel when nothing can stop the query.  The rule (exec::scan_rect_full,
+// the batch executor's bulk_charged members): when unbounded() holds, charge
+// a whole rectangle (a tile or row band) in one call — the spent() total is
+// the same; otherwise (budget, deadline or cancel flag anywhere up the
+// parent chain) charge per pixel, so the trip point, and with it the
+// certified prefix, stays exact.
+//
 // Configuration (with_*) and reset() are NOT thread-safe: configure before
 // sharing, reset only after all workers have joined.
 //

@@ -7,6 +7,13 @@
 // progressively represented data.  LinearRasterModel adapts the §2.1 linear
 // family; custom models (e.g. learned classifiers) implement the interface
 // directly.
+//
+// evaluate_row() is the scan kernels' entry point: it scores a run of
+// consecutive pixels of one row straight from the archive's band planes.
+// The base class gathers each pixel and calls evaluate(); LinearRasterModel
+// overrides it with a planar loop.  Overrides must be bit-identical to
+// per-pixel evaluate() — same per-pixel operation order, no FMA contraction
+// or fast-math — because every executor's answer is checked against that.
 
 #include <memory>
 #include <span>
@@ -16,6 +23,8 @@
 #include "util/interval.hpp"
 
 namespace mmir {
+
+class TiledArchive;
 
 /// A model evaluable per pixel and boundable per tile.
 class RasterModel {
@@ -27,6 +36,13 @@ class RasterModel {
 
   /// Score of one pixel (band values in archive band order).
   [[nodiscard]] virtual double evaluate(std::span<const double> pixel) const = 0;
+
+  /// Scores the pixels (x0 + i, y) for i in [0, out.size()) into `out`,
+  /// bit-identically to evaluate() on each gathered pixel.  The default
+  /// gathers and evaluates pixel by pixel.  Charges nothing: the caller
+  /// bills the meter for the pixels it consumes.
+  virtual void evaluate_row(const TiledArchive& archive, std::size_t x0, std::size_t y,
+                            std::span<double> out) const;
 
   /// Bounds of the score over a box of per-band ranges.
   [[nodiscard]] virtual Interval bound(std::span<const Interval> ranges) const = 0;
@@ -44,6 +60,10 @@ class LinearRasterModel final : public RasterModel {
   [[nodiscard]] double evaluate(std::span<const double> pixel) const override {
     return model_.evaluate(pixel);
   }
+  /// Planar row kernel: s[i] = bias, then s[i] += w_b * band_b[i] band by
+  /// band — LinearModel::evaluate's per-pixel summation order.
+  void evaluate_row(const TiledArchive& archive, std::size_t x0, std::size_t y,
+                    std::span<double> out) const override;
   [[nodiscard]] Interval bound(std::span<const Interval> ranges) const override {
     return model_.evaluate_interval(ranges);
   }

@@ -48,11 +48,15 @@ class SharedThreshold {
 /// Per-shard accumulation state.  Indexed by shard id — each shard is
 /// processed by exactly one pool slot, so no synchronization is needed until
 /// the gather (parallel_for's completion handshake publishes the writes).
-struct ShardRun {
+/// Cache-line aligned so neighbouring shards' meters and tallies, written
+/// on every scanned row, never share a line (the false sharing that the
+/// tile-parallel WorkerState pads against too; see parallel_exec.cpp).
+struct alignas(obs::kCacheLineBytes) ShardRun {
   explicit ShardRun(std::size_t k) : top(k) {}
   TopK<RasterHit> top;
   CostMeter meter;
   exec::ScanTally tally;
+  std::vector<double> scores;  ///< scan_rect_full's row buffer
   std::uint64_t scan_ops = 0;
   std::uint64_t tiles_scanned = 0;
   std::uint64_t tiles_pruned = 0;
@@ -653,13 +657,12 @@ ShardedTopK sharded_full_scan_top_k(const ShardedArchive& sharded, const RasterM
   return scatter_gather(
       sharded, "sharded_full_scan", k, model.ops_per_evaluation(), ctx, meter, pool, options,
       [&](const ShardInfo& shard, ShardRun& run, SharedThreshold&, QueryContext& ctx) {
-        std::vector<double> scratch(archive.band_count());
         const std::uint64_t ops_before = run.meter.ops();
         for (std::size_t t : shard.tiles) {
           const TileSummary& tile = tiles[t];
           ++run.tiles_scanned;
           exec::scan_rect_full(archive, model, tile.x0, tile.x0 + tile.width, tile.y0,
-                               tile.y0 + tile.height, run.top, scratch, ctx, run.meter,
+                               tile.y0 + tile.height, run.top, run.scores, ctx, run.meter,
                                run.tally);
           if (ctx.stopped()) break;
         }
@@ -801,12 +804,11 @@ ShardedTopK sharded_tile_screened_top_k(const ShardedArchive& sharded, const Ras
   return scatter_gather(
       sharded, "sharded_tile_screened", k, model.ops_per_evaluation(), ctx, meter, pool, options,
       [&](const ShardInfo& shard, ShardRun& run, SharedThreshold& shared, QueryContext& ctx) {
-        std::vector<double> scratch(archive.band_count());
         screened_shard_scan(archive, model, precomputed, shard, run, shared, ctx,
                             shard_bound(shard), [&](const TileSummary& tile, ShardRun& r) {
                               exec::scan_rect_full(archive, model, tile.x0,
                                                    tile.x0 + tile.width, tile.y0,
-                                                   tile.y0 + tile.height, r.top, scratch, ctx,
+                                                   tile.y0 + tile.height, r.top, r.scores, ctx,
                                                    r.meter, r.tally);
                             });
       },
@@ -894,13 +896,12 @@ ShardScanResult scan_shard_partial(const ShardedArchive& sharded, std::size_t sh
     } else {
       switch (mode) {
         case ShardScanMode::kFullScan: {
-          std::vector<double> scratch(archive.band_count());
           const std::uint64_t ops_before = run.meter.ops();
           for (std::size_t t : shard.tiles) {
             const TileSummary& tile = tiles[t];
             ++run.tiles_scanned;
             exec::scan_rect_full(archive, *model, tile.x0, tile.x0 + tile.width, tile.y0,
-                                 tile.y0 + tile.height, run.top, scratch, ctx, run.meter,
+                                 tile.y0 + tile.height, run.top, run.scores, ctx, run.meter,
                                  run.tally);
             if (ctx.stopped()) break;
           }
@@ -938,12 +939,11 @@ ShardScanResult scan_shard_partial(const ShardedArchive& sharded, std::size_t sh
           break;
         }
         case ShardScanMode::kTileScreened: {
-          std::vector<double> scratch(archive.band_count());
           screened_shard_scan(archive, *model, nullptr, shard, run, shared, ctx,
                               shard_bound(), [&](const TileSummary& tile, ShardRun& r) {
                                 exec::scan_rect_full(archive, *model, tile.x0,
                                                      tile.x0 + tile.width, tile.y0,
-                                                     tile.y0 + tile.height, r.top, scratch,
+                                                     tile.y0 + tile.height, r.top, r.scores,
                                                      ctx, r.meter, r.tally);
                               });
           break;

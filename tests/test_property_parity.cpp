@@ -12,9 +12,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/progressive_exec.hpp"
@@ -143,6 +145,21 @@ std::vector<RasterHit> run_serial(const Case& c, const LinearRasterModel& raster
       return progressive_model_top_k(archive, progressive, c.k, meter);
     case Exec::kTileScreened: return tile_screened_top_k(archive, raster, c.k, meter);
     case Exec::kCombined: return progressive_combined_top_k(archive, progressive, c.k, meter);
+  }
+  return {};
+}
+
+RasterTopK run_serial(const Case& c, const LinearRasterModel& raster,
+                      const ProgressiveLinearModel& progressive, QueryContext& ctx,
+                      CostMeter& meter) {
+  const TiledArchive& archive = *c.pooled->archive;
+  switch (c.exec) {
+    case Exec::kFullScan: return full_scan_top_k(archive, raster, c.k, ctx, meter);
+    case Exec::kProgressiveModel:
+      return progressive_model_top_k(archive, progressive, c.k, ctx, meter);
+    case Exec::kTileScreened: return tile_screened_top_k(archive, raster, c.k, ctx, meter);
+    case Exec::kCombined:
+      return progressive_combined_top_k(archive, progressive, c.k, ctx, meter);
   }
   return {};
 }
@@ -281,22 +298,7 @@ TEST(PropertyParity, SerialParallelAndCachedReplayAgree) {
       QueryContext ctx;
       ctx.with_op_budget(c.budget);
       CostMeter meter;
-      const TiledArchive& archive = *c.pooled->archive;
-      RasterTopK serial_budgeted;
-      switch (c.exec) {
-        case Exec::kFullScan:
-          serial_budgeted = full_scan_top_k(archive, raster, c.k, ctx, meter);
-          break;
-        case Exec::kProgressiveModel:
-          serial_budgeted = progressive_model_top_k(archive, progressive, c.k, ctx, meter);
-          break;
-        case Exec::kTileScreened:
-          serial_budgeted = tile_screened_top_k(archive, raster, c.k, ctx, meter);
-          break;
-        case Exec::kCombined:
-          serial_budgeted = progressive_combined_top_k(archive, progressive, c.k, ctx, meter);
-          break;
-      }
+      const RasterTopK serial_budgeted = run_serial(c, raster, progressive, ctx, meter);
       if (ok) {
         if (serial_budgeted.status == ResultStatus::kComplete) {
           if (!equivalent_hits(exact, serial_budgeted.hits, c, raster, why)) {
@@ -314,6 +316,121 @@ TEST(PropertyParity, SerialParallelAndCachedReplayAgree) {
     if (!ok) failing_seeds.push_back(seed);
   }
 
+  if (!failing_seeds.empty()) {
+    std::ostringstream os;
+    os << "failing case seeds:";
+    for (std::uint64_t s : failing_seeds) os << ' ' << s;
+    ADD_FAILURE() << os.str();
+  }
+}
+
+/// What one run billed and returned: the context's spent() total, every
+/// CostMeter work counter, the bad-point tally, the status and the hits.
+struct Billing {
+  std::uint64_t spent = 0;
+  std::uint64_t points = 0;
+  std::uint64_t ops = 0;
+  std::uint64_t bytes = 0;
+  std::uint64_t pruned = 0;
+  std::uint64_t bad_points = 0;
+  ResultStatus status = ResultStatus::kComplete;
+  std::vector<RasterHit> hits;
+};
+
+Billing billing_of(const RasterTopK& result, const QueryContext& ctx, const CostMeter& meter) {
+  return {ctx.spent(),    meter.points(),    meter.ops(),   meter.bytes(),
+          meter.pruned(), result.bad_points, result.status, result.hits};
+}
+
+/// Exact equality of two billings (hits byte for byte); `why` names the
+/// first differing field.  `meters` = false compares only the answer.
+bool same_billing(const Billing& a, const Billing& b, bool meters, std::string& why) {
+  if (a.status != b.status) {
+    why = "status differs";
+    return false;
+  }
+  if (a.hits.size() != b.hits.size()) {
+    why = "hit count differs";
+    return false;
+  }
+  for (std::size_t i = 0; i < a.hits.size(); ++i) {
+    if (a.hits[i].x != b.hits[i].x || a.hits[i].y != b.hits[i].y ||
+        a.hits[i].score != b.hits[i].score) {
+      why = "hit differs at rank " + std::to_string(i);
+      return false;
+    }
+  }
+  if (!meters) return true;
+  const std::pair<const char*, std::pair<std::uint64_t, std::uint64_t>> fields[] = {
+      {"spent", {a.spent, b.spent}},
+      {"points", {a.points, b.points}},
+      {"ops", {a.ops, b.ops}},
+      {"bytes", {a.bytes, b.bytes}},
+      {"pruned", {a.pruned, b.pruned}},
+      {"bad_points", {a.bad_points, b.bad_points}},
+  };
+  for (const auto& [name, values] : fields) {
+    if (values.first != values.second) {
+      why = std::string(name) + " " + std::to_string(values.second) +
+            " != " + std::to_string(values.first);
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(PropertyParity, NeverTrippingBudgetBillsLikeUnbounded) {
+  // Unbounded contexts are charged in bulk, bounded ones per pixel; a budget
+  // that never trips takes the per-pixel path and must bill exactly what the
+  // bulk path bills.  Meters are compared wherever the work is independent
+  // of scheduling: every serial executor, the full scan at every thread
+  // count (it prunes nothing) and every executor at one executing thread.  Elsewhere the cross-worker
+  // pruning threshold makes pruned work timing-dependent, so only the
+  // answer is compared.
+  std::vector<std::uint64_t> failing_seeds;
+  for (std::uint64_t seed = 0; seed < kCases; ++seed) {
+    const Case c = make_case(seed);
+    SCOPED_TRACE(c.describe());
+    const LinearRasterModel raster(c.model);
+    const ProgressiveLinearModel progressive(c.model, c.pooled->ranges);
+    bool ok = true;
+    std::string why;
+    {
+      QueryContext unbounded;
+      CostMeter unbounded_meter;
+      const RasterTopK bulk = run_serial(c, raster, progressive, unbounded, unbounded_meter);
+      QueryContext bounded;
+      bounded.with_op_budget(std::numeric_limits<std::uint64_t>::max() - 1);
+      CostMeter bounded_meter;
+      const RasterTopK exact = run_serial(c, raster, progressive, bounded, bounded_meter);
+      if (!same_billing(billing_of(bulk, unbounded, unbounded_meter),
+                        billing_of(exact, bounded, bounded_meter), true, why)) {
+        ok = false;
+        why += " (serial)";
+      }
+    }
+    for (std::size_t workers : kWorkerCounts) {
+      if (!ok) break;
+      ThreadPool pool(workers);
+      QueryContext unbounded;
+      CostMeter unbounded_meter;
+      const RasterTopK bulk =
+          run_parallel(c, raster, progressive, unbounded, unbounded_meter, pool);
+      QueryContext bounded;
+      bounded.with_op_budget(std::numeric_limits<std::uint64_t>::max() - 1);
+      CostMeter bounded_meter;
+      const RasterTopK exact = run_parallel(c, raster, progressive, bounded, bounded_meter, pool);
+      const bool meters = c.exec == Exec::kFullScan || workers == 0;
+      if (!same_billing(billing_of(bulk, unbounded, unbounded_meter),
+                        billing_of(exact, bounded, bounded_meter), meters, why)) {
+        ok = false;
+        why += " (workers=" + std::to_string(workers) + ")";
+        break;
+      }
+    }
+    EXPECT_TRUE(ok) << why;
+    if (!ok) failing_seeds.push_back(seed);
+  }
   if (!failing_seeds.empty()) {
     std::ostringstream os;
     os << "failing case seeds:";

@@ -17,9 +17,11 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "archive/sharded.hpp"
@@ -327,6 +329,142 @@ TEST(ShardParity, EngineShardedJobAndCachedReplayAgree) {
     if (!ok) failing_seeds.push_back(seed);
   }
 
+  if (!failing_seeds.empty()) {
+    std::ostringstream os;
+    os << "failing case seeds:";
+    for (std::uint64_t s : failing_seeds) os << ' ' << s;
+    ADD_FAILURE() << os.str();
+  }
+}
+
+/// What one run billed and returned: the context's spent() total, every
+/// CostMeter work counter, the bad-point and visited-pixel tallies, the
+/// status and the hits.
+struct Billing {
+  std::uint64_t spent = 0;
+  std::uint64_t points = 0;
+  std::uint64_t ops = 0;
+  std::uint64_t bytes = 0;
+  std::uint64_t pruned = 0;
+  std::uint64_t bad_points = 0;
+  std::uint64_t pixels_visited = 0;
+  ResultStatus status = ResultStatus::kComplete;
+  std::vector<RasterHit> hits;
+};
+
+Billing billing_of(const RasterTopK& result, const QueryContext& ctx, const CostMeter& meter,
+                   std::uint64_t pixels_visited = 0) {
+  return {ctx.spent(),       meter.points(), meter.ops(), meter.bytes(), meter.pruned(),
+          result.bad_points, pixels_visited, result.status, result.hits};
+}
+
+/// Exact equality of two billings (hits byte for byte); `why` names the
+/// first differing field.  `meters` = false compares only the answer.
+bool same_billing(const Billing& a, const Billing& b, bool meters, std::string& why) {
+  if (a.status != b.status) {
+    why = "status differs";
+    return false;
+  }
+  if (a.hits.size() != b.hits.size()) {
+    why = "hit count differs";
+    return false;
+  }
+  for (std::size_t i = 0; i < a.hits.size(); ++i) {
+    if (a.hits[i].x != b.hits[i].x || a.hits[i].y != b.hits[i].y ||
+        a.hits[i].score != b.hits[i].score) {
+      why = "hit differs at rank " + std::to_string(i);
+      return false;
+    }
+  }
+  if (!meters) return true;
+  const std::pair<const char*, std::pair<std::uint64_t, std::uint64_t>> fields[] = {
+      {"spent", {a.spent, b.spent}},
+      {"points", {a.points, b.points}},
+      {"ops", {a.ops, b.ops}},
+      {"bytes", {a.bytes, b.bytes}},
+      {"pruned", {a.pruned, b.pruned}},
+      {"bad_points", {a.bad_points, b.bad_points}},
+      {"pixels_visited", {a.pixels_visited, b.pixels_visited}},
+  };
+  for (const auto& [name, values] : fields) {
+    if (values.first != values.second) {
+      why = std::string(name) + " " + std::to_string(values.second) +
+            " != " + std::to_string(values.first);
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(ShardParity, NeverTrippingBudgetBillsLikeUnbounded) {
+  // Unbounded contexts are charged in bulk, bounded ones per pixel; a budget
+  // that never trips takes the per-pixel path and must bill exactly what the
+  // bulk path bills, for every shard layout (both policies, S in 1/2/4/8),
+  // scatter-gather and per-shard scan_shard_partial alike.  Scatter-gather
+  // meters are compared where the work is independent of scheduling: the
+  // full scan at every thread count and every executor at one executing
+  // thread; elsewhere the cross-shard pruning threshold makes pruned work
+  // timing-dependent, so only the answer is compared.
+  constexpr std::uint64_t kNeverTrips = std::numeric_limits<std::uint64_t>::max() - 1;
+  std::vector<std::uint64_t> failing_seeds;
+  for (std::uint64_t seed = 0; seed < kCases; ++seed) {
+    const Case c = make_case(seed);
+    SCOPED_TRACE(c.describe());
+    const LinearRasterModel raster(c.model);
+    const ProgressiveLinearModel progressive(c.model, c.pooled->ranges);
+    bool ok = true;
+    std::string why;
+    for (ShardPolicy policy : {ShardPolicy::kRowBands, ShardPolicy::kTileHash}) {
+      for (std::size_t shards : kShardCounts) {
+        const ShardedArchive sharded(*c.pooled->archive, shards, policy);
+        const std::string layout = " (policy=" + std::string(shard_policy_name(policy)) +
+                                   " shards=" + std::to_string(shards);
+        for (std::size_t workers : kWorkerCounts) {
+          ThreadPool pool(workers);
+          QueryContext unbounded;
+          CostMeter unbounded_meter;
+          const ShardedTopK bulk =
+              run_sharded(c, sharded, raster, progressive, unbounded, unbounded_meter, pool);
+          QueryContext bounded;
+          bounded.with_op_budget(kNeverTrips);
+          CostMeter bounded_meter;
+          const ShardedTopK exact =
+              run_sharded(c, sharded, raster, progressive, bounded, bounded_meter, pool);
+          const bool meters = c.exec == Exec::kFullScan || workers == 0;
+          if (!same_billing(billing_of(bulk.merged, unbounded, unbounded_meter),
+                            billing_of(exact.merged, bounded, bounded_meter), meters, why)) {
+            ok = false;
+            why += layout + " workers=" + std::to_string(workers) + ")";
+            break;
+          }
+        }
+        for (std::size_t s = 0; ok && s < shards; ++s) {
+          const auto mode = static_cast<ShardScanMode>(c.exec);
+          QueryContext unbounded;
+          CostMeter unbounded_meter;
+          const ShardScanResult bulk = scan_shard_partial(sharded, s, mode, &raster, &progressive,
+                                                          c.k, unbounded, unbounded_meter);
+          QueryContext bounded;
+          bounded.with_op_budget(kNeverTrips);
+          CostMeter bounded_meter;
+          const ShardScanResult exact = scan_shard_partial(sharded, s, mode, &raster, &progressive,
+                                                           c.k, bounded, bounded_meter);
+          if (!same_billing(billing_of(bulk.partial.result, unbounded, unbounded_meter,
+                                       bulk.partial.pixels_visited),
+                            billing_of(exact.partial.result, bounded, bounded_meter,
+                                       exact.partial.pixels_visited),
+                            true, why)) {
+            ok = false;
+            why += layout + " scan_shard_partial shard=" + std::to_string(s) + ")";
+          }
+        }
+        if (!ok) break;
+      }
+      if (!ok) break;
+    }
+    EXPECT_TRUE(ok) << why;
+    if (!ok) failing_seeds.push_back(seed);
+  }
   if (!failing_seeds.empty()) {
     std::ostringstream os;
     os << "failing case seeds:";
